@@ -64,6 +64,9 @@ MASK32 = 0xFFFFFFFF
 COLD_SIZES = (12, 16, 24, 32, 40, 48, 64)
 # A linked ML+L3 program follows every COLD_ML_EVERY-th synthetic one.
 COLD_ML_EVERY = 5
+# The compile_cold stream opens with this many items of a seed-independent
+# shape (every COLD_SIZES size once, in order, then a linked program).
+COLD_WARM = len(COLD_SIZES) + 1
 
 COUNTER_TICKS_LONG = 30
 
@@ -192,12 +195,17 @@ def linked_input(rng: random.Random, literals: Literals, cells: int = 8) -> Comp
 
 
 def cold_inputs(seed: int):
-    """The endless ``compile_cold`` stream: synthetic modules of the
-    ``COLD_SIZES`` in seeded order, with a linked ML+L3 program after every
+    """The endless ``compile_cold`` stream.  The first ``COLD_WARM`` items
+    have the same sizes for every seed: each of ``COLD_SIZES`` once, in
+    order, then a linked ML+L3 program.  After them come synthetic modules
+    of the ``COLD_SIZES`` in seeded order, with a linked program after every
     ``COLD_ML_EVERY``-th one."""
 
     rng = random.Random(seed)
     literals = Literals(rng)
+    for size in COLD_SIZES:
+        yield synthetic_input(rng, literals, size)
+    yield linked_input(rng, literals)
     count = 0
     while True:
         sizes = list(COLD_SIZES)
@@ -207,46 +215,6 @@ def cold_inputs(seed: int):
             if count % COLD_ML_EVERY == 0:
                 yield linked_input(rng, literals)
             yield synthetic_input(rng, literals, size)
-
-
-@dataclasses.dataclass
-class Edit:
-    """One ``compile_edit`` step: the edited module, which function changed
-    and what that function must now return."""
-
-    module: object
-    index: int
-    expected: int
-
-
-class EditStream:
-    """A ``functions``-function base module of one-block functions, then
-    one-function edits.
-
-    Each edit rebuilds one seeded-random function with a fresh literal and
-    keeps every other ``Function`` object, so their memoized digests and
-    compile units are what the edit reuses.  Edits accumulate.
-    """
-
-    def __init__(self, seed: int, functions: int) -> None:
-        self._rng = random.Random(seed)
-        self._literals = Literals(self._rng)
-        self.functions = functions
-
-    def build(self):
-        """A fresh base module (new objects, new literals)."""
-
-        return make_module(functions=[
-            synthetic_function(i, 1, self._literals.take()) for i in range(self.functions)
-        ])
-
-    def edit(self, module) -> Edit:
-        index = self._rng.randrange(self.functions)
-        literal = self._literals.take()
-        functions = list(module.functions)
-        functions[index] = synthetic_function(index, 1, literal)
-        return Edit(make_module(functions=functions, name=module.name), index,
-                    (literal + 1) & MASK32)
 
 
 # ---------------------------------------------------------------------------

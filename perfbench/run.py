@@ -4,26 +4,22 @@ Run from the root of a checkout::
 
     python3 perfbench/run.py --workload compile_cold --seed 1 --seconds 55 --trace 0
 
-Workloads (``BENCHMARK.json`` lists the two the benchmark is judged on,
-``compile_cold`` and ``serve_cluster``, and why; the other two run by hand):
+Workloads (``BENCHMARK.json`` says why each is there):
 
 * ``compile_cold`` -- a stream of never-seen programs through ``api.compile``
   (O2, compiled engine, private memory tier over a fresh disk cache);
-* ``compile_edit`` -- one-function edits of a 1000-function module,
-  recompiled on one long-lived ``ModuleCache``;
-* ``serve_inproc`` -- Fig. 9 counter sessions on an in-process
-  ``api.serve(..., engine="compiled")``, one closed-loop client;
-* ``serve_cluster`` -- the same sessions on ``api.serve(..., workers=N)``
-  restarted from a disk cache an earlier process populated, one session in
-  flight per worker.
+* ``serve_cluster`` -- Fig. 9 counter sessions on ``api.serve(...,
+  workers=N)`` restarted from a disk cache an earlier process populated, one
+  session in flight per worker.
 
 With ``--trace 0`` the run measures with tracing off and reports the
 end-to-end metrics.  Their timings are scaled to a reference host speed
 (``hostspeed.py``), because a shared host drifts by more than any bound;
-the record line keeps the raw values next to the probe readings.  With ``--trace 1`` it measures half the time untraced,
-then wraps the layers' public functions in spans (``spans.py``) for the
-other half and reports per-layer metrics; the spans are written to
-``.bench_build/perfbench/`` when the run ends.
+the record line keeps the raw values next to the probe readings.  With
+``--trace 1`` it measures half the time untraced, then wraps the layers'
+public functions in spans (``spans.py``) for the other half and reports
+per-layer metrics; the spans are written to ``.bench_build/perfbench/``
+when the run ends.
 
 Every operation's output is checked against a reference computed from how
 the input was built (``gen.py``).  The last line of standard output is one
@@ -46,7 +42,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".bench_build", "perfbench")
-WORKLOAD_NAMES = ("compile_cold", "compile_edit", "serve_inproc", "serve_cluster")
+WORKLOAD_NAMES = ("compile_cold", "serve_cluster")
 
 
 def hardware() -> dict:
@@ -94,8 +90,9 @@ def end_to_end(workload, seconds: float, record: dict) -> tuple[list, dict]:
         setups.append(raw * factor)
     warm, phase = Phase(), Phase()
     workload.warm(warm)
-    # Memory is read before the window: compile_edit's long-lived cache keeps
-    # every edited version, so a later peak would grow with throughput.
+    # Memory is read after the warm-up, a fixed number of operations whatever
+    # the seed, and not after the window, whose length in operations follows
+    # throughput (the process-global intern table grows with every compile).
     rss_mb = workload.peak_rss_mb()
     steal, ticks = cpu_ticks()
     workload.measure(seconds, phase)

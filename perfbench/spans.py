@@ -6,14 +6,17 @@ original on :meth:`Recorder.uninstall`.  Nothing inside the program is
 changed: the wrappers sit at the attribute the program looks the callee up
 by, so a call from one layer into the next passes through exactly one span.
 
-Spans stay in memory while the benchmark runs; :meth:`Recorder.dump` writes
-them out as JSON lines at the end.  A layer's *self time* is its spans'
-durations minus the parts covered by their direct child spans.
+Only the process that installed the wrappers records: a worker forked from
+it (a cluster's) inherits them but calls straight through.  Spans stay in
+memory while the benchmark runs; :meth:`Recorder.dump` writes them out as
+JSON lines at the end.  A layer's *self time* is its spans' durations minus
+the parts covered by their direct child spans.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import time
 from collections import defaultdict
@@ -36,6 +39,7 @@ class Recorder:
         #: Outcome tallies (e.g. disk-cache hits) recorded by wrappers.
         self.events: dict[str, int] = defaultdict(int)
         self._stack = [-1]
+        self._pid = os.getpid()
         self._patches: list[tuple[object, str, object, bool]] = []
 
     # -- recording ---------------------------------------------------------
@@ -71,8 +75,11 @@ class Recorder:
         own = attr in vars(owner)
         original = getattr(owner, attr)
         events = self.events
+        pid = self._pid
 
         def traced(*args, **kwargs):
+            if os.getpid() != pid:
+                return original(*args, **kwargs)
             index = self._open(name)
             try:
                 result = original(*args, **kwargs)
@@ -224,8 +231,8 @@ def layer_metrics(recorder: Recorder, phase, untraced, *, disk_written: int,
     metrics["batch.self_us"] = us("batch.run_one", requests)
     metrics["engine.invoke_us"] = us("engine.invoke", requests)
     metrics["engine.steps"] = per(phase.steps, phase.requests)
-    # Steps per request times the requests the spans timed (a cluster's
-    # requests run untraced in its workers; only the twin's are timed here).
+    # Steps per request times the requests the spans timed (the wrappers do
+    # not record in a cluster's forked workers; only the twin's are timed).
     metrics["engine.steps_per_s"] = per(metrics["engine.steps"] * requests,
                                         totals.get("engine.invoke", 0.0))
     metrics["dispatcher.submit_us"] = us("dispatcher.submit", collects)

@@ -1,11 +1,11 @@
-"""The four workloads: set-up, warm-up and one timed measurement window.
+"""The two workloads: set-up, warm-up and one timed measurement window.
 
 Each workload drives the system only through its public surface
-(``repro.api.compile``/``serve``, ``ModuleCache``, the cluster's
-``Dispatcher``) and checks every operation's output against the reference
-``gen.py`` built with the input.  With a :class:`spans.Recorder` passed to
-:meth:`Workload.measure`, each timed operation becomes a root span
-(``compile`` or ``request``) for the layer spans under it.
+(``repro.api.compile``/``serve``, the cluster's ``Dispatcher``) and checks
+every operation's output against the reference ``gen.py`` built with the
+input.  With a :class:`spans.Recorder` passed to :meth:`Workload.measure`,
+each timed operation becomes a root span (``compile`` or ``request``) for
+the layer spans under it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.runtime import ModuleCache, Request, Session
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 
-EDIT_FUNCTIONS = 1000
 MAX_WORKERS = 4
 TWIN_REPLAYS = 2000
 COLD_CONFIG = {"opt_level": "O2", "engine": "compiled", "cache": "private"}
@@ -75,7 +74,7 @@ class Phase:
         self.raw_latencies_ms: list[float] = []
         self.probe_index: list[int] = []  # the host probe before each sample
         self.latencies_ms: list[float] = []
-        self.work = 0          # functions, edits or requests completed
+        self.work = 0          # functions or requests completed
         self.works: list[int] = []
         self.busy_s = 0.0      # sum of the timed operations' walls
         self.raw_busy_s = 0.0
@@ -216,7 +215,7 @@ class Workload:
 
     def traced_setup(self, recorder, phase: Phase) -> None:
         """Set up once more under tracing, where the workload's layers do
-        their work in set-up (a no-op for the compile workloads)."""
+        their work in set-up (a no-op for compile_cold)."""
 
     def measure(self, seconds: float, phase: Phase, recorder=None) -> None:
         raise NotImplementedError
@@ -225,7 +224,9 @@ class Workload:
         return phase.work / (phase.raw_busy_s if raw else phase.busy_s)
 
     def disk_bytes(self) -> int:
-        return 0
+        """Bytes in the workload's disk cache (``cache_dir``)."""
+
+        return DiskCache(self.cache_dir).total_bytes()
 
     def peak_rss_mb(self) -> float:
         return peak_rss_mb()
@@ -242,15 +243,13 @@ speed = HostSpeed()
 start = time.perf_counter()
 sys.path.insert(0, sys.argv[1])
 from repro import api
-imported = time.perf_counter()
 import gen
 rng = random.Random(int(sys.argv[4]))
 item = gen.linked_input(rng, gen.Literals(rng))
-begin = time.perf_counter()
 api.compile(item.sources, dict(json.loads(sys.argv[5]), cache_dir=sys.argv[3]))
 end = time.perf_counter()
 speed.probe()
-print(json.dumps({"setup_s": (imported - start) + (end - begin), "factor": speed.between(0)}))
+print(json.dumps({"setup_s": end - start, "factor": speed.between(0)}))
 """
 
 
@@ -259,7 +258,7 @@ class CompileCold(Workload):
     function, throughput is functions over the summed compile walls."""
 
     name = "compile_cold"
-    setup_repeats = 5
+    setup_repeats = 7
     throughput_unit = "functions/s"
 
     def __init__(self, seed: int, workdir: str) -> None:
@@ -273,9 +272,10 @@ class CompileCold(Workload):
         return self.timed_setup()[0]
 
     def timed_setup(self) -> tuple[float, float]:
-        """A cold process: importing the package plus the first compile of
-        a linked ML+L3 program into a fresh disk cache (timed and probed in
-        the child, without interpreter start-up)."""
+        """A cold process: importing the package and both frontends
+        (``gen`` imports ``repro.ml``/``repro.l3``/``repro.ffi``), building a
+        linked ML+L3 program and compiling it into a fresh disk cache, as one
+        span timed and probed in the child, without interpreter start-up."""
 
         self._setups += 1
         cache_dir = os.path.join(self.workdir, f"setup-cache-{self._setups}")
@@ -291,7 +291,10 @@ class CompileCold(Workload):
         return result["setup_s"], result["factor"]
 
     def warm(self, phase: Phase) -> None:
-        for _ in range(2):
+        # A fixed set of compiles whatever the seed, so the peak memory read
+        # after it covers every size and a linked program, and a per-compile
+        # leak shows in it without depending on throughput.
+        for _ in range(gen.COLD_WARM):
             item = next(self.inputs)
             check_program(api.compile(item.sources, self.config), item, phase)
 
@@ -299,9 +302,6 @@ class CompileCold(Workload):
         begin = time.perf_counter()
         while time.perf_counter() < begin + seconds:
             item = next(self.inputs)
-            # Collect the previous sample's garbage outside the timing, so
-            # no sample pays a full collection of another's heap.
-            gc.collect()
             probe = self.speed.probe()
             try:
                 program, elapsed = timed(lambda: api.compile(item.sources, self.config),
@@ -318,88 +318,46 @@ class CompileCold(Workload):
         self.speed.probe()
         phase.scale(self.speed)
 
-    def disk_bytes(self) -> int:
-        return DiskCache(self.cache_dir).total_bytes()
+
+_CLUSTER_POPULATE_CHILD = r"""
+import sys
+sys.path[:0] = [sys.argv[1]]
+from repro import api
+from repro.ffi import counter_program
+api.compile(counter_program(), {"cache": "private", "cache_dir": sys.argv[2]})
+"""
 
 
-class CompileEdit(Workload):
-    """One-function edits recompiled on a long-lived ``ModuleCache``."""
+class ServeCluster(Workload):
+    """Fig. 9 counter sessions on a multi-process cluster restarted from a
+    warm disk cache; one client thread keeps one session in flight per
+    worker.  A request's latency runs from submit to collect; throughput is
+    requests over the measurement window."""
 
-    name = "compile_edit"
-    throughput_unit = "edits/s"
-
-    def __init__(self, seed: int, workdir: str) -> None:
-        super().__init__(seed, workdir)
-        self.stream = gen.EditStream(seed, EDIT_FUNCTIONS)
-        self.config = CompileConfig(**COLD_CONFIG)
-        self.cache = None
-        self.module = None
-
-    def setup(self) -> float:
-        """Compile a fresh 1000-function base module on a new cache."""
-
-        self.cache = self.module = None
-        module = self.stream.build()
-        gc.collect()
-        cache = ModuleCache()
-        _, elapsed = timed(lambda: api.compile(module, self.config, cache=cache))
-        self.cache, self.module = cache, module
-        return elapsed
-
-    def _edit(self, phase: Phase, recorder=None, *, sample: bool = True) -> None:
-        edit = self.stream.edit(self.module)
-        gc.collect()
-        probe = self.speed.probe()
-        try:
-            program, elapsed = timed(
-                lambda: api.compile(edit.module, self.config, cache=self.cache), recorder, "compile")
-        except Exception:
-            traceback.print_exc()
-            phase.record(False, "edit compile raised")
-            return
-        self.module = edit.module
-        if sample:
-            phase.sample(elapsed, probe)
-        if recorder is not None:
-            phase.note_compile(program, edit.module, self.config)
-        with api.serve(program) as service:
-            outcome = service.run_one(Request(gen.export_name(edit.index)))
-            phase.fresh_instances += service.pool.stats.created
-        phase.note_outcome(outcome)
-        phase.record(outcome.ok and outcome.values == [edit.expected],
-                     f"edit of function {edit.index}: {outcome.values or outcome.trap!r}")
-
-    def warm(self, phase: Phase) -> None:
-        for _ in range(2):
-            self._edit(phase, sample=False)
-
-    def measure(self, seconds: float, phase: Phase, recorder=None) -> None:
-        begin = time.perf_counter()
-        while time.perf_counter() < begin + seconds:
-            self._edit(phase, recorder)
-        phase.wall_s += time.perf_counter() - begin
-        self.speed.probe()
-        phase.scale(self.speed)
-
-
-class ServeInproc(Workload):
-    """Counter sessions from one closed-loop client on an in-process
-    service; throughput is requests over the measurement window."""
-
-    name = "serve_inproc"
-    setup_repeats = 5
+    name = "serve_cluster"
+    setup_repeats = 9
     throughput_unit = "requests/s"
-    config = {"engine": "compiled", "cache": "private"}
 
     def __init__(self, seed: int, workdir: str) -> None:
+        cpus = available_cpus()
+        if cpus < 2:
+            raise Skipped(f"cpus_available={cpus} < 2: a cluster needs a core per worker")
         super().__init__(seed, workdir)
         self.sessions = gen.sessions(seed)
+        self.workers = min(cpus, MAX_WORKERS)
+        self.cache_dir = os.path.join(workdir, "cluster-cache")
+        self.config = {"workers": self.workers, "cache": "private", "cache_dir": self.cache_dir}
+        # The earlier process whose disk cache every set-up restarts from.
+        subprocess.run(
+            [sys.executable, "-c", _CLUSTER_POPULATE_CHILD, SRC, self.cache_dir],
+            check=True, capture_output=True, timeout=120,
+        )
         self.service = None
+        self.twin = None
+        self._round_trips = None
 
     def _serve(self):
-        service = api.serve(counter_program(), self.config)
-        service.warm(1)
-        return service
+        return api.serve(counter_program(), self.config)
 
     def _close_service(self) -> None:
         if self.service is not None:
@@ -408,7 +366,6 @@ class ServeInproc(Workload):
 
     def setup(self) -> float:
         self._close_service()
-        gc.collect()
         self.service, elapsed = timed(self._serve)
         return elapsed
 
@@ -420,92 +377,18 @@ class ServeInproc(Workload):
     def warm(self, phase: Phase) -> None:
         self._loop(phase, count=200, sample=False)
 
-    def measure(self, seconds: float, phase: Phase, recorder=None) -> None:
-        created = self._pool_created()
-        gc.collect()
-        begin = time.perf_counter()
-        self._loop(phase, deadline=begin + seconds, recorder=recorder)
-        phase.wall_s += time.perf_counter() - begin
-        self.speed.probe()
-        phase.scale(self.speed)
-        phase.fresh_instances += self._pool_created() - created
-
-    def _pool_created(self) -> int:
-        return self.service.pool.stats.created
-
-    def _loop(self, phase: Phase, *, deadline=None, count=None, sample=True, recorder=None):
-        done = 0
-        while (deadline is None or time.perf_counter() < deadline) and (count is None or done < count):
-            item = next(self.sessions)
-            request = Session(calls=item.calls, max_steps=item.max_steps)
-            probe = self.speed.current()
-            outcome, elapsed = timed(lambda: self.service.run_one(request), recorder, "request")
-            done += 1
-            if sample:
-                phase.sample(elapsed, probe)
-            phase.note_outcome(outcome)
-            phase.record(session_ok(outcome, item),
-                         f"{item.kind} session: {outcome.values or outcome.trap!r}")
-
-    def throughput(self, phase: Phase, raw: bool = False) -> float:
-        # Requests over the window, scaled by the samples' mean factor.
-        return phase.work / phase.wall_s * (1.0 if raw else phase.work / phase.factor_sum)
-
-    def close(self) -> None:
-        self._close_service()
-
-
-_CLUSTER_POPULATE_CHILD = r"""
-import sys
-sys.path[:0] = [sys.argv[1]]
-from repro import api
-from repro.ffi import counter_program
-api.compile(counter_program(), {"cache": "private", "cache_dir": sys.argv[2]})
-"""
-
-
-class ServeCluster(ServeInproc):
-    """The same sessions on a multi-process cluster restarted from a warm
-    disk cache; one client thread keeps one session in flight per worker.
-    A request's latency runs from submit to collect."""
-
-    name = "serve_cluster"
-    setup_repeats = 3
-
-    def __init__(self, seed: int, workdir: str) -> None:
-        cpus = available_cpus()
-        if cpus < 2:
-            raise Skipped(f"cpus_available={cpus} < 2: a cluster needs a core per worker")
-        super().__init__(seed, workdir)
-        self.workers = min(cpus, MAX_WORKERS)
-        self.cache_dir = os.path.join(workdir, "cluster-cache")
-        self.config = {"workers": self.workers, "cache": "private", "cache_dir": self.cache_dir}
-        # The earlier process whose disk cache every set-up restarts from.
-        subprocess.run(
-            [sys.executable, "-c", _CLUSTER_POPULATE_CHILD, SRC, self.cache_dir],
-            check=True, capture_output=True, timeout=120,
-        )
-        self.twin = None
-
-    def _serve(self):
-        return api.serve(counter_program(), self.config)
-
     def prepare_trace(self) -> None:
         # The in-process twin (same default engine) that serves each traced
         # request again, to time it without the cluster around it.
         self.twin = api.serve(counter_program(), {"cache": "private"})
 
-    def _pool_created(self) -> int:
-        return 0  # the pools live in the workers
-
-    def _request(self, item):
-        resolve = self.service.resolve
-        return Session(calls=tuple((resolve(export), args) for export, args in item.calls),
-                       max_steps=item.max_steps)
-
     def measure(self, seconds: float, phase: Phase, recorder=None) -> None:
         self._round_trips = [] if recorder is not None else None
-        super().measure(seconds, phase, recorder)
+        begin = time.perf_counter()
+        self._loop(phase, deadline=begin + seconds, recorder=recorder)
+        phase.wall_s += time.perf_counter() - begin
+        self.speed.probe()
+        phase.scale(self.speed)
         if recorder is None:
             return
         # After the window, so the twin never competes with the workers; an
@@ -520,6 +403,15 @@ class ServeCluster(ServeInproc):
             phase.record(session_ok(outcome, item),
                          f"{item.kind} session on the twin: {outcome.values or outcome.trap!r}")
         phase.fresh_instances += self.twin.pool.stats.created - created
+
+    def throughput(self, phase: Phase, raw: bool = False) -> float:
+        # Requests over the window, scaled by the samples' mean factor.
+        return phase.work / phase.wall_s * (1.0 if raw else phase.work / phase.factor_sum)
+
+    def _request(self, item):
+        resolve = self.service.resolve
+        return Session(calls=tuple((resolve(export), args) for export, args in item.calls),
+                       max_steps=item.max_steps)
 
     def _loop(self, phase: Phase, *, deadline=None, count=None, sample=True, recorder=None):
         dispatcher = self.service.dispatcher
@@ -564,9 +456,6 @@ class ServeCluster(ServeInproc):
                 draining = False
                 probe = refill()
 
-    def disk_bytes(self) -> int:
-        return DiskCache(self.cache_dir).total_bytes()
-
     def peak_rss_mb(self) -> float:
         """The parent's peak plus every live worker's."""
 
@@ -575,7 +464,7 @@ class ServeCluster(ServeInproc):
         return peak_rss_mb() + workers
 
     def close(self) -> None:
-        super().close()
+        self._close_service()
         if self.twin is not None:
             self.twin.close()
             self.twin = None
@@ -595,7 +484,7 @@ def replay_matches(phase: Phase) -> bool:
             and structural_digest(program.wasm) == structural_digest(traced.wasm))
 
 
-WORKLOADS = {cls.name: cls for cls in (CompileCold, CompileEdit, ServeInproc, ServeCluster)}
+WORKLOADS = {cls.name: cls for cls in (CompileCold, ServeCluster)}
 
 
 def parcompile_wall_ratio(seed: int) -> float:
