@@ -19,10 +19,10 @@ new version of a module reuses every unchanged function's work:
   marker (:func:`repro.wasm.validate_module`);
 * **decode** — Wasm function digest → the :class:`~repro.wasm.decode.FlatFunction`;
 * **translate** — (Wasm function digest, Wasm signature digest, slot index,
-  stack mode) → the generated Python source chunk, stack mode and exec'd
-  callable (:mod:`repro.wasm.pygen`; sound since PR 8 routed direct calls
-  through the per-instance runtime, making each generated function
-  self-contained).
+  stack mode, interpreter tag, pygen source digest) → the generated Python
+  source chunk, stack mode and exec'd callable (:mod:`repro.wasm.pygen`;
+  sound because direct calls route through the per-instance runtime,
+  making each generated function self-contained).
 
 Unit keys are built from :func:`repro.core.syntax.structural_digest` parts,
 so — like the PR 5 content keys — they are deterministic across processes
@@ -42,7 +42,9 @@ counted in per-stage :class:`UnitStats` and mirrored to the process-wide
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -50,6 +52,7 @@ from typing import Optional
 from .core.syntax.intern import structural_digest
 from .core.syntax.modules import signature_env_digest
 from .obs.metrics import default_registry
+from .wasm import pygen
 from .wasm.ast import WasmFunction, WasmModule
 
 #: Stages with per-function unit tables, in pipeline order.
@@ -160,6 +163,12 @@ def decode_unit_key(function: WasmFunction) -> str:
     return unit_key("decode", structural_digest(function))
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest(path: str) -> bytes:
+    with open(path, "rb") as source:
+        return hashlib.sha256(source.read()).digest()
+
+
 def translate_unit_key(
     function: WasmFunction, module: WasmModule, index: int, *, force_list: bool = False
 ) -> str:
@@ -167,7 +176,10 @@ def translate_unit_key(
 
     The signature digest covers the callee arities and host import types the
     emitted call sites bake in; the slot index is baked into the generated
-    function name and host-call dispatch, so it is part of the key too.
+    function name and host-call dispatch, so it is part of the key too.  The
+    interpreter's bytecode tag and a digest of pygen's own source stamp the
+    key, so a persisted unit (a marshal'd code object) written by another
+    interpreter or another code generator is a miss.
     """
 
     return unit_key(
@@ -176,6 +188,8 @@ def translate_unit_key(
         wasm_signature_digest(module),
         index,
         force_list,
+        str(sys.implementation.cache_tag).encode(),
+        _source_digest(pygen.__file__),
     )
 
 

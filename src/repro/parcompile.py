@@ -211,37 +211,15 @@ class _TieredUnits:
         units, self.collected = self.collected, []
         return units
 
-    # -- key builders (delegated, so worker and parent keys always agree) --
+    # -- key builders (the parent cache's own, so worker and parent keys
+    # always agree) --
 
-    def typecheck_key(self, function, module, *, allow_caps: bool = True) -> str:
-        from .compilepipe import typecheck_unit_key
-
-        return typecheck_unit_key(function, module, allow_caps=allow_caps)
-
-    def lower_key(self, function, module) -> str:
-        from .compilepipe import lower_unit_key
-
-        return lower_unit_key(function, module)
-
-    def optimize_key(self, function, pass_name: str) -> str:
-        from .compilepipe import optimize_unit_key
-
-        return optimize_unit_key(function, pass_name)
-
-    def validate_key(self, function, module) -> str:
-        from .compilepipe import validate_unit_key
-
-        return validate_unit_key(function, module)
-
-    def decode_key(self, function) -> str:
-        from .compilepipe import decode_unit_key
-
-        return decode_unit_key(function)
-
-    def translate_key(self, function, module, index: int, *, force_list: bool = False) -> str:
-        from .compilepipe import translate_unit_key
-
-        return translate_unit_key(function, module, index, force_list=force_list)
+    typecheck_key = FunctionUnitCache.typecheck_key
+    lower_key = FunctionUnitCache.lower_key
+    optimize_key = FunctionUnitCache.optimize_key
+    validate_key = FunctionUnitCache.validate_key
+    decode_key = FunctionUnitCache.decode_key
+    translate_key = FunctionUnitCache.translate_key
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,17 @@ Translation strategy:
 * the operand stack becomes Python locals ``s0..sN`` wherever the static
   stack depth is provable (it always is for validated code); translation
   falls back to an explicit list per function otherwise;
-* step accounting is batched per basic block: one ``steps += k`` plus one
-  boundary comparison per chunk of straight-line code, placed exactly where
-  the flat VM folds its budget/profiler trigger.  When the boundary falls
-  inside a chunk, a twin "careful" arm re-counts that chunk one step at a
-  time, so ``max_steps`` traps and :class:`~repro.obs.profile.StepProfiler`
-  samples land on the identical step — and with the identical partial side
-  effects — as the flat and tree engines.  Potentially-trapping operations
-  always terminate their chunk, so a trap observes the exact step count.
+* step accounting is batched per chunk of straight-line code: one
+  ``steps += k`` and one boundary comparison, then the chunk's body, emitted
+  once.  When the boundary falls inside the chunk,
+  :meth:`CompiledPyEngine._catch_up` replays the per-step check for each of
+  its ``k`` steps before the body runs.  That is exact because of the chunk
+  invariant: *only a chunk's last instruction traps or writes outside the
+  frame* — trapping operations, calls, stores, ``global.set``,
+  ``memory.grow`` and taken branches all end their chunk.  So
+  ``max_steps`` traps and :class:`~repro.obs.profile.StepProfiler` samples
+  land on the identical step, seeing the identical globals and memory, as
+  on the flat and tree engines.
 
 :class:`CompiledPyEngine` (``"compiled"``) exposes the tier behind the
 :class:`~repro.wasm.engine.ExecutionEngine` ABC.  Translation is memoized
@@ -251,29 +254,15 @@ class _FunctionEmitter:
         self.chunk = []
         count = len(chunk)
         write = self.write
-        if count == 1:
-            write("steps += 1")
-            write("if steps >= boundary:")
-            write(f"    boundary = eng._on_boundary(steps, {self.fname_ref})")
-            for line in chunk[0]:
-                write(line)
-            return
         write(f"steps += {count}")
-        write("if steps < boundary:")
-        body = [line for lines in chunk for line in lines]
-        if body:
-            for line in body:
-                write("    " + line)
+        write("if steps >= boundary:")
+        if count == 1:
+            write(f"    boundary = eng._on_boundary(steps, {self.fname_ref})")
         else:
-            write("    pass")
-        write("else:")
-        write(f"    steps -= {count}")
+            write(f"    boundary = eng._catch_up(steps, {count}, boundary, {self.fname_ref})")
         for lines in chunk:
-            write("    steps += 1")
-            write("    if steps >= boundary:")
-            write(f"        boundary = eng._on_boundary(steps, {self.fname_ref})")
             for line in lines:
-                write("    " + line)
+                write(line)
 
     # -- value normalization ------------------------------------------------
 
@@ -656,6 +645,7 @@ def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
     elif op == OP_GLOBAL_SET:
         value, lines = em.pop()
         em.step(lines + [f"gl[{ins[1]}] = {value}"])
+        em.flush()
     elif op in (OP_LOAD_I, OP_LOAD_F, OP_STORE_I, OP_STORE_F, OP_MEMORY_SIZE, OP_MEMORY_GROW):
         return _emit_memory_leaf(em, ins)
     elif op == OP_BR:
@@ -666,7 +656,7 @@ def _emit_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
         taken = _branch_lines(em, ins[1])
         em.step(lines + [f"if {cond}:"] + ["    " + line for line in taken])
         # A taken branch leaves mid-chunk; flush so no later instruction is
-        # pre-counted in the fast arm when the exit fires.
+        # pre-counted when the exit fires.
         em.flush()
     elif op == OP_BR_TABLE:
         depths, default = ins[1], ins[2]
@@ -715,8 +705,8 @@ def _emit_memory_leaf(em: _FunctionEmitter, ins: tuple) -> bool:
         em.step(em.push(f"len(_md) // {PAGE_SIZE}"))
         return False
     if op == OP_MEMORY_GROW:
-        grow = em.set_top(f"rt.memory.grow({em.top()}) & 0xffffffff")
-        em.step([grow])
+        em.step([em.set_top(f"rt.memory.grow({em.top()}) & 0xffffffff")])
+        em.flush()
         return False
     offset, fmt_or_nbytes = ins[1], ins[2]
     if op == OP_LOAD_I:
@@ -1131,6 +1121,19 @@ class CompiledPyEngine(ExecutionEngine):
         if profiler is not None and steps >= profiler.next_at:
             profiler.record(function_name, steps)
         return self._current_boundary()
+
+    def _catch_up(self, steps: int, count: int, boundary, function_name):
+        """Replay :meth:`_on_boundary` for each step of a ``count``-step
+        chunk that ends at ``steps``, before the chunk's body runs.
+
+        Sound because only a chunk's last instruction may trap or write
+        outside the frame: a budget trap or sample at an earlier step sees
+        the same globals and memory the flat VM would."""
+
+        for step in range(steps - count + 1, steps + 1):
+            if step >= boundary:
+                boundary = self._on_boundary(step, function_name)
+        return boundary
 
     # -- translation management --------------------------------------------
 

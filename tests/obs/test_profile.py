@@ -77,10 +77,11 @@ class TestParity:
         assert all(step <= 32 for step, _name in tree[1].trace)
 
     def test_compiled_engine_batched_sampling_matches_flat(self):
-        # The compiled tier batches its boundary checks per basic block; the
+        # The compiled tier batches its boundary checks per chunk; the
         # samples must still land on the identical (step, function) pairs at
         # every phase of the block structure, including interval 1 (a
-        # boundary on every single step — the careful arm throughout).
+        # boundary on every single step, so every chunk catches up step by
+        # step).
         for interval in (1, 3, 16):
             flat = run_profiled("flat", interval=interval)
             compiled = run_profiled("compiled", interval=interval)

@@ -9,7 +9,11 @@ double counting across processes), and leave deterministic
 :class:`~repro.cluster.DiskCache` entry sets at any worker count.
 """
 
+import marshal
 import os
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +25,7 @@ from repro.obs.metrics import default_registry
 from repro.opt import run_engine_cross_check
 from repro.runtime import ModuleCache
 from repro.runtime.cache import content_key
+from repro.wasm import pygen
 
 from workloads import edit_one_function, synthetic_module
 
@@ -241,6 +246,44 @@ def test_parallel_warm_disk_translate_preseeds_without_pool(tmp_path):
     assert report.phases == []
     assert report.units_seeded == {}
     assert report.units_warm["translate"] >= 8
+    interpreter, instance = program.instantiate()
+    assert interpreter.invoke(instance, "main", [])[0] == 2
+
+
+@pytest.mark.parametrize("change", ["interpreter", "codegen"])
+def test_persisted_translate_units_of_another_build_are_misses(tmp_path, monkeypatch, change):
+    disk = DiskCache(tmp_path / "shared")
+    module = synthetic_module(1, functions=8)
+    ModuleCache(disk=disk).compile_program(module, config=_config(2))
+    assert sum(entry.stage == "unit.translate" for entry in disk.entries()) >= 8
+
+    if change == "interpreter":
+        monkeypatch.setattr(sys.implementation, "cache_tag", "otherpython-99")
+    else:
+        edited = tmp_path / "pygen.py"
+        edited.write_bytes(Path(pygen.__file__).read_bytes() + b"\n# codegen edit\n")
+        monkeypatch.setattr(pygen, "__file__", str(edited))
+
+    unmarshalled: list = []
+
+    def loads(blob):
+        unmarshalled.append(blob)
+        return marshal.loads(blob)
+
+    pooled: list = []
+    monkeypatch.setattr(parcompile, "marshal", SimpleNamespace(dumps=marshal.dumps, loads=loads))
+    monkeypatch.setattr(parcompile, "_run_pool", lambda phase, payload, tasks, *rest: pooled.append(tasks))
+
+    warm_cache = ModuleCache(disk=disk)
+    program = warm_cache.compile_program(module, config=_config(2))
+    # Every disk wire unit missed before unmarshalling: all of them were
+    # handed to the (stubbed) pool, none warm-read, and the serial
+    # recompose translated the module afresh.
+    report = warm_cache.last_parcompile
+    assert unmarshalled == []
+    assert report.fallbacks == []
+    assert "translate" not in report.units_warm
+    assert len(pooled) == 1 and len(pooled[0]) >= 8
     interpreter, instance = program.instantiate()
     assert interpreter.invoke(instance, "main", [])[0] == 2
 

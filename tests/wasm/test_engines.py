@@ -16,6 +16,8 @@ from repro.wasm import (
     DEFAULT_ENGINE,
     ExecutionEngine,
     FlatVMEngine,
+    GlobalGet,
+    GlobalSet,
     LocalGet,
     LocalSet,
     LocalTee,
@@ -561,6 +563,35 @@ class TestMaxStepsParity:
         if kind == "trap":
             assert detail == "step budget exhausted"
             assert steps == budget + 1  # the offending step is counted
+
+    def test_frame_escaping_writes_mid_block_under_every_budget(self):
+        # ``memory.grow`` and ``global.set`` sit inside a straight-line run
+        # with frame-local work after them.  Whichever step the budget trap
+        # lands on, every engine must report the same step and leave the
+        # same page count and globals: the writes before the trap happened,
+        # the ones after it did not.
+        module = simple([
+            Const(I32, 1), MemoryGrow(), LocalSet(0),
+            Const(I32, 7), GlobalSet(0),
+            LocalGet(0), Const(I32, 3), Binop(I32, "add"), LocalSet(0),
+            Const(I32, 2), MemoryGrow(), GlobalGet(0), Binop(I32, "add"), GlobalSet(0),
+            LocalGet(0), MemorySize(), Binop(I32, "add"), GlobalGet(0), Binop(I32, "add"),
+        ], locals=(I32,), memory=WasmMemory(1, 4),
+            globals=(WasmGlobal(I32, True, (Const(I32, 0),)),))
+        validate_module(module)
+        total = run_on("flat", module)[1]
+        for budget in range(1, total + 1):
+            outcomes = {}
+            for engine in ALL_ENGINES:
+                interp = WasmInterpreter(max_steps=budget, engine=engine)
+                inst = interp.instantiate(module)
+                try:
+                    outcome = ("ok", interp.invoke(inst, "main"))
+                except WasmTrap as trap:
+                    outcome = ("trap", str(trap))
+                outcomes[engine] = (outcome, interp.steps, inst.memory.size_pages(), list(inst.globals))
+            assert len(set(map(repr, outcomes.values()))) == 1, f"budget {budget}: {outcomes}"
+        assert outcomes["flat"] == (("ok", [4 + 4 + 9]), total, 4, [9])
 
     def test_budget_spans_invocations(self):
         module = simple([Const(I32, 1)])

@@ -3,15 +3,18 @@
 The engine-agreement suites (``test_engines.py``, the property suite, the
 profiler parity tests) already pin the compiled tier's semantics against the
 flat VM and the tree walker; this file covers the translator's own
-machinery — the register/list stack layouts, the per-module translation
-memo, the content-keyed ``translate`` cache stage, and the facade's
+machinery — the register/list stack layouts, the one-arm step chunks, the
+per-module translation memo, the content-keyed ``translate`` cache stage, and the facade's
 ``translate`` diagnostics — plus compiled-engine invalidation on patched
 function tables.
 """
 
+import re
+
 from repro import api
 from repro.api import CompileConfig
 from repro.ml import BinOp, IntLit, MLFunction, TInt, Var, ml_module
+from repro.obs import StepProfiler
 from repro.runtime import ModuleCache
 from repro.wasm import (
     Binop,
@@ -29,6 +32,7 @@ from repro.wasm import (
     WBrIf,
     WCall,
     WLoop,
+    WasmTrap,
     translate_module,
     validate_module,
 )
@@ -129,6 +133,68 @@ class TestTranslation:
         first = interp.instantiate(module)
         second = interp.instantiate(module)
         assert first.compiled_py.targets[1] is second.compiled_py.targets[1]
+
+
+def straight_line_module():
+    """One 13-step run of straight-line code: a single multi-step chunk."""
+
+    body = [Const(I32, 0)]
+    for k in range(1, 7):
+        body += [Const(I32, k), Binop(I32, "add")]
+    line = WasmFunction(FT((), (I32,)), (), tuple(body), name="line", exports=("line",))
+    module = WasmModule(functions=(line,))
+    validate_module(module)
+    return module
+
+
+class TestStepChunks:
+    """Each chunk is counted once and emitted once; a boundary inside it is
+    caught up step by step before its body runs."""
+
+    def test_one_arm_per_chunk(self):
+        multi = 0
+        for module in (sum_module(), straight_line_module()):
+            slots = decode_module(module).flat
+            for source in (
+                translate_module(module).source,
+                translate_functions(slots, module, force_list=True).source,
+            ):
+                lines = [line.strip() for line in source.splitlines()]
+                assert not any(line.startswith("steps -=") for line in lines)
+                heads = 0
+                for position, line in enumerate(lines):
+                    match = re.fullmatch(r"steps \+= (\d+)", line)
+                    if match is None:
+                        continue
+                    count = int(match.group(1))
+                    assert lines[position + 1] == "if steps >= boundary:"
+                    check = lines[position + 2]
+                    if count == 1:
+                        assert check.startswith("boundary = eng._on_boundary(steps, ")
+                    else:
+                        assert check.startswith(f"boundary = eng._catch_up(steps, {count}, boundary, ")
+                        heads += 1
+                assert source.count("_catch_up(") == heads
+                multi += heads
+        assert multi > 0
+
+    def test_sample_then_budget_trap_in_one_chunk(self):
+        # Interval 4 and budget 10 put two samples (steps 4 and 8) and the
+        # trap (step 11) inside the one 13-step chunk: the samples must be
+        # recorded, in order, before the trap fires on every engine.
+        outcomes = []
+        for engine in ("tree", "flat", "compiled"):
+            interpreter = WasmInterpreter(engine=engine, max_steps=10)
+            instance = interpreter.instantiate(straight_line_module())
+            profiler = StepProfiler(interval=4, keep_trace=True).install(interpreter)
+            try:
+                interpreter.invoke(instance, "line", [])
+                trap = None
+            except WasmTrap as exc:
+                trap = str(exc)
+            outcomes.append((trap, interpreter.steps, list(profiler.trace)))
+        assert outcomes[0] == ("step budget exhausted", 11, [(4, "line"), (8, "line")])
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestCacheStage:
